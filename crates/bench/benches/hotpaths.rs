@@ -190,35 +190,6 @@ fn bench_kernel(c: &mut Criterion) {
         sim.run(cycles);
         rows.push(("blocked", cycles, start.elapsed().as_secs_f64()));
     }
-    // The deterministic parallel tick, threads=1 vs threads=4, on the two
-    // regimes it targets: the unprotected 16×16 `saturated` case above,
-    // and the 256-core scale point (Static Bubble on 16×16 at
-    // deadlock-prone load, recovery active). Numbers from a 1-core box
-    // show threads=4 at or below threads=1 (the pre-pass then only adds
-    // handoff cost) — that is honest, not a regression; the multi-core
-    // speedup assertion lives in `scale256_smoke` and arms on >= 4-core
-    // CI runners.
-    for (name, design, rate, threads) in [
-        ("saturated_t1", Design::Unprotected, 0.6, 1usize),
-        ("saturated_t4", Design::Unprotected, 0.6, 4),
-        ("scale256_t1", Design::StaticBubble, 0.3, 1),
-        ("scale256_t4", Design::StaticBubble, 0.3, 4),
-    ] {
-        let cycles = 20_000u64;
-        let mut sim = Scenario::new(name, design)
-            .with_mesh(16, 16)
-            .with_traffic(TrafficSpec::Uniform {
-                rate,
-                single_vnet: true,
-            })
-            .with_seed(5)
-            .with_threads(threads)
-            .build();
-        sim.warmup(1_000);
-        let start = std::time::Instant::now();
-        sim.run(cycles);
-        rows.push((name, cycles, start.elapsed().as_secs_f64()));
-    }
 
     // Pre-SoA baselines (nested RouterState + per-hop Packet clones), kept
     // so the committed artifact records the before/after of the data-layout
@@ -274,11 +245,10 @@ fn bench_kernel(c: &mut Criterion) {
     }
 }
 
-/// The two halves of the separable allocator the parallel tick splits:
-/// `candidate_masks` (the read-only pre-pass sharded across workers) and
-/// the round-robin winner probe (always sequential, in commit order).
+/// The two halves of the separable allocator: `candidate_masks` (the
+/// per-router candidate collection) and the round-robin winner probe.
 /// Measured over a saturated 16×16 mesh — the regime where nearly every
-/// router holds switchable heads, i.e. the pre-pass's actual workload.
+/// router holds switchable heads.
 fn bench_alloc_probes(c: &mut Criterion) {
     use sb_sim::OutPort;
     use sb_topology::{Direction, NodeId};

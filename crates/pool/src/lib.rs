@@ -1,46 +1,35 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-//! Shared thread pools (std threads only; crates.io is unreachable, so no
-//! crossbeam or rayon). Two shapes, two lifecycles:
+//! The work-stealing thread pool (std threads + in-tree injector/stealer
+//! deques; crates.io is unreachable, so no crossbeam or rayon):
+//! [`run_stream`] and its collecting forms [`ordered_map`] /
+//! [`ordered_map_unwrap`]. Threads are spawned per call inside
+//! `std::thread::scope`, so the closure may borrow from the caller's
+//! stack; the tasks are coarse (one simulation, one figure data point),
+//! so the microseconds of thread spawn are noise. The sweep fleet is its
+//! heaviest user.
 //!
-//! * [`run_stream`] / [`ordered_map`] / [`ordered_map_unwrap`] — a *scoped*
-//!   work-stealing parallel-for. Threads are spawned per call inside
-//!   `std::thread::scope`, so the closure may borrow from the caller's
-//!   stack. Right for coarse tasks (one simulation, one BFS row batch)
-//!   where the microseconds of thread spawn are noise. Lifted verbatim
-//!   from the fleet, which remains its heaviest user.
-//! * [`WorkerPool`] — a *persistent* pool of parked workers fed over a
-//!   shared channel. Jobs are `'static` boxed closures; results come back
-//!   keyed by submission index. Right for fine-grained per-cycle fan-out
-//!   (the engine's parallel candidate pre-pass) where spawning threads
-//!   every call would dominate the work. Shared data crosses into jobs
-//!   via `Arc` handoff — the caller temporarily parts with ownership and
-//!   reclaims it with `Arc::try_unwrap` after the batch completes.
-//!
-//! Work-stealing architecture of the scoped pool: all tasks start in a
-//! global FIFO *injector*; each worker owns a local deque it refills from
-//! the injector in small batches and works through front-to-back; a worker
-//! whose local deque and the injector are both empty *steals* one task from
-//! the back of a victim's deque (scanning victims in deterministic
-//! round-robin order from its own slot). Tasks never re-enter a queue once
-//! claimed, so an all-empty scan is a correct termination condition.
+//! Architecture: all tasks start in a global FIFO *injector*; each worker
+//! owns a local deque it refills from the injector in small batches and
+//! works through front-to-back; a worker whose local deque and the
+//! injector are both empty *steals* one task from the back of a victim's
+//! deque (scanning victims in deterministic round-robin order from its own
+//! slot). Tasks never re-enter a queue once claimed, so an all-empty scan
+//! is a correct termination condition.
 //!
 //! Results stream back over an `mpsc` channel to the *caller's* thread,
 //! keyed by task index, so the consumer never needs a lock and the
 //! completion order is free to be nondeterministic — determinism is the
 //! consumer's job (sort by index before any arithmetic).
 //!
-//! Panic isolation: each scoped task runs under `catch_unwind`; a panicking
-//! task yields `Err(payload)` for its index and the pool keeps running.
-//! [`WorkerPool`] jobs are also guarded — a panicking job poisons only its
-//! own batch (the collecting caller panics with the payload), and the
-//! worker thread survives to serve later batches.
+//! Panic isolation: each task runs under `catch_unwind`; a panicking task
+//! yields `Err(payload)` for its index and the pool keeps running.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// How many tasks a worker moves from the injector to its local deque per
 /// refill. Small enough that stealing stays effective on skewed workloads.
@@ -188,145 +177,6 @@ where
         .collect()
 }
 
-// ---------------------------------------------------------------------
-// Persistent worker pool
-// ---------------------------------------------------------------------
-
-/// One unit of work for a [`WorkerPool`] worker, or the shutdown signal.
-enum Job {
-    Run(Box<dyn FnOnce() + Send + 'static>),
-    Exit,
-}
-
-/// A persistent pool of parked worker threads fed over one shared channel.
-///
-/// Unlike the scoped [`run_stream`], workers outlive any single batch: the
-/// pool is built once (e.g. per simulator) and each [`WorkerPool::submit`]
-/// costs only channel sends — no thread spawn, no `thread::scope` barrier
-/// setup. The price is that jobs must be `'static`: borrowed data cannot
-/// cross into a worker, so callers hand shared state over via `Arc` clones
-/// and reclaim it with `Arc::try_unwrap` once the batch has been collected
-/// (every worker drops its clone before reporting its result).
-///
-/// Dropping the pool shuts it down: each worker receives an `Exit` job and
-/// is joined, so no thread outlives the pool handle.
-pub struct WorkerPool {
-    tx: mpsc::Sender<Job>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl std::fmt::Debug for WorkerPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkerPool")
-            .field("workers", &self.handles.len())
-            .finish()
-    }
-}
-
-/// An in-flight batch of [`WorkerPool`] jobs; [`Batch::collect`] blocks
-/// until every job has reported and returns results in submission order.
-#[must_use = "a batch does nothing until collected"]
-pub struct Batch<R> {
-    rx: mpsc::Receiver<(usize, Result<R, String>)>,
-    n: usize,
-}
-
-impl<R> Batch<R> {
-    /// Wait for every job in the batch and return their results in
-    /// submission order.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises the first (lowest-index) job panic as a panic on the
-    /// calling thread. The workers themselves survive.
-    pub fn collect(self) -> Vec<R> {
-        let mut slots: Vec<Option<Result<R, String>>> = (0..self.n).map(|_| None).collect();
-        for _ in 0..self.n {
-            let (i, r) = self.rx.recv().expect("worker delivers every job");
-            debug_assert!(slots[i].is_none(), "job index delivered twice");
-            slots[i] = Some(r);
-        }
-        slots
-            .into_iter()
-            .map(|s| match s.expect("every job delivered") {
-                Ok(r) => r,
-                Err(e) => panic!("pool job panicked: {e}"),
-            })
-            .collect()
-    }
-}
-
-impl WorkerPool {
-    /// Spawn `workers` parked threads (at least one).
-    pub fn new(workers: usize) -> Self {
-        let workers = workers.max(1);
-        let (tx, rx) = mpsc::channel::<Job>();
-        let rx = Arc::new(Mutex::new(rx));
-        let handles = (0..workers)
-            .map(|_| {
-                let rx = Arc::clone(&rx);
-                std::thread::spawn(move || loop {
-                    // Hold the receiver lock only for the blocking recv —
-                    // never across job execution — so a panicking job can
-                    // not poison the channel for its siblings.
-                    let job = rx.lock().expect("pool receiver").recv();
-                    match job {
-                        Ok(Job::Run(f)) => {
-                            // Guarded: the worker must survive a panicking
-                            // job to serve later batches. The missing
-                            // result is reported through the job's own
-                            // result channel (see `submit`).
-                            let _ = catch_unwind(AssertUnwindSafe(f));
-                        }
-                        Ok(Job::Exit) | Err(_) => break,
-                    }
-                })
-            })
-            .collect();
-        WorkerPool { tx, handles }
-    }
-
-    /// The number of worker threads.
-    pub fn workers(&self) -> usize {
-        self.handles.len()
-    }
-
-    /// Enqueue a batch of jobs and return a [`Batch`] handle; the calling
-    /// thread is free to do its own share of the work before collecting.
-    /// Results come back in submission order regardless of which worker
-    /// ran which job.
-    pub fn submit<R, F>(&self, jobs: Vec<F>) -> Batch<R>
-    where
-        R: Send + 'static,
-        F: FnOnce() -> R + Send + 'static,
-    {
-        let n = jobs.len();
-        let (rtx, rrx) = mpsc::channel::<(usize, Result<R, String>)>();
-        for (i, job) in jobs.into_iter().enumerate() {
-            let rtx = rtx.clone();
-            let wrapped = Box::new(move || {
-                let r = catch_unwind(AssertUnwindSafe(job)).map_err(payload_to_string);
-                let _ = rtx.send((i, r));
-            });
-            self.tx
-                .send(Job::Run(wrapped))
-                .expect("pool workers outlive the handle");
-        }
-        Batch { rx: rrx, n }
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        for _ in &self.handles {
-            let _ = self.tx.send(Job::Exit);
-        }
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -389,55 +239,5 @@ mod tests {
             x
         });
         assert_eq!(out.len(), 16);
-    }
-
-    #[test]
-    fn worker_pool_returns_results_in_submission_order() {
-        let pool = WorkerPool::new(3);
-        for round in 0..20u64 {
-            let jobs: Vec<_> = (0..17u64).map(|i| move || i * 10 + round).collect();
-            let out = pool.submit(jobs).collect();
-            assert_eq!(out, (0..17u64).map(|i| i * 10 + round).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn worker_pool_arc_handoff_round_trips() {
-        // The engine's per-cycle pattern: hand shared state to the workers
-        // via Arc clones, collect, then reclaim unique ownership.
-        let pool = WorkerPool::new(2);
-        let data = Arc::new(vec![1u64, 2, 3, 4, 5, 6, 7, 8]);
-        let jobs: Vec<_> = (0..4usize)
-            .map(|s| {
-                let data = Arc::clone(&data);
-                move || data[s * 2] + data[s * 2 + 1]
-            })
-            .collect();
-        let sums = pool.submit(jobs).collect();
-        assert_eq!(sums, vec![3, 7, 11, 15]);
-        let data = Arc::try_unwrap(data).expect("workers released their clones");
-        assert_eq!(data.len(), 8);
-    }
-
-    #[test]
-    fn worker_pool_survives_a_panicking_job() {
-        let pool = WorkerPool::new(2);
-        let jobs: Vec<Box<dyn FnOnce() -> u32 + Send>> = vec![
-            Box::new(|| 1),
-            Box::new(|| panic!("job exploded")),
-            Box::new(|| 3),
-        ];
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| pool.submit(jobs).collect()));
-        assert!(result.is_err(), "panicking job must fail the batch");
-        // The workers survived and serve the next batch.
-        let out = pool.submit((0..8u32).map(|i| move || i + 1).collect::<Vec<_>>());
-        assert_eq!(out.collect(), (1..=8).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn worker_pool_empty_batch_is_fine() {
-        let pool = WorkerPool::new(1);
-        let out: Vec<u8> = pool.submit(Vec::<fn() -> u8>::new()).collect();
-        assert!(out.is_empty());
     }
 }

@@ -70,16 +70,12 @@ impl Scenario {
     /// (nothing in `build_on` reads it). Two grid points with different
     /// human-readable keys but identical physics therefore share one
     /// content fingerprint — the property the fleet's cross-grid dedup and
-    /// on-disk result cache key on. [`Scenario::threads`] is normalized
-    /// away too: the parallel tick is bit-identical at any thread count
-    /// (`DESIGN.md` §13), so it is an execution knob like the fleet's
-    /// `--jobs`, not part of the experiment. Every *simulation-relevant*
-    /// field (topology, design, traffic, config, seeds, window, clock,
-    /// audit cadence) still feeds the hash.
+    /// on-disk result cache key on. Every *simulation-relevant* field
+    /// (topology, design, traffic, config, seeds, window, clock, audit
+    /// cadence) still feeds the hash.
     pub fn content_fingerprint(&self) -> Result<u64, SpecError> {
         let mut canon = self.clone();
         canon.name = String::new();
-        canon.threads = 1;
         Ok(fnv1a(canon.to_json()?.as_bytes()))
     }
 }
@@ -126,24 +122,6 @@ mod tests {
         assert_ne!(
             b.content_fingerprint().unwrap(),
             d.content_fingerprint().unwrap()
-        );
-    }
-
-    #[test]
-    fn content_fingerprint_ignores_the_thread_count() {
-        // The parallel tick is bit-identical at any thread count, so
-        // `threads` must not split the result cache.
-        let seq = Scenario::new("par", Design::StaticBubble);
-        let par = seq.clone().with_threads(4);
-        let auto = seq.clone().with_threads(0);
-        assert_ne!(seq.fingerprint().unwrap(), par.fingerprint().unwrap());
-        assert_eq!(
-            seq.content_fingerprint().unwrap(),
-            par.content_fingerprint().unwrap()
-        );
-        assert_eq!(
-            seq.content_fingerprint().unwrap(),
-            auto.content_fingerprint().unwrap()
         );
     }
 

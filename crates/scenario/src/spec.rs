@@ -144,12 +144,6 @@ pub struct Scenario {
     /// *not* packet-identical to its step twin; it is statistically
     /// equivalent and vastly faster at low load).
     pub clock: ClockMode,
-    /// Worker threads for the deterministic parallel tick (1 = sequential,
-    /// the default; 0 = auto-detect via `std::thread::available_parallelism`
-    /// at build time). Purely an execution knob: grants, RNG draws, stats
-    /// and forensics are bit-identical at any thread count (`DESIGN.md`
-    /// §13), so content-addressed result caching ignores it.
-    pub threads: usize,
 }
 
 impl Scenario {
@@ -180,7 +174,6 @@ impl Scenario {
             audit_every: 0,
             snapshot_every: 0,
             clock: ClockMode::Step,
-            threads: 1,
         }
     }
 
@@ -290,23 +283,6 @@ impl Scenario {
         self
     }
 
-    /// Set the parallel-tick thread count (see [`Scenario::threads`]):
-    /// 1 = sequential, 0 = auto-detect at build time.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// The thread count a build actually uses: the configured value, with
-    /// 0 resolved through `std::thread::available_parallelism` (falling
-    /// back to 1 if the platform cannot say).
-    pub fn effective_threads(&self) -> usize {
-        match self.threads {
-            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-            n => n,
-        }
-    }
-
     /// The mesh substrate.
     pub fn mesh(&self) -> Mesh {
         Mesh::new(self.width, self.height)
@@ -396,8 +372,7 @@ impl Scenario {
         topo: &Topology,
         traffic: T,
     ) -> Box<dyn SimRunner> {
-        let threads = self.effective_threads();
-        let planner = self.design.planner_with_threads(topo, threads);
+        let planner = self.design.planner(topo);
         let mut runner: Box<dyn SimRunner> = match self.design {
             Design::SpanningTree | Design::TreeOnly | Design::Unprotected => Box::new(Runner(
                 Simulator::new(topo, self.config, planner, NullPlugin, traffic, self.seed),
@@ -426,7 +401,6 @@ impl Scenario {
         runner.set_audit(self.audit_every);
         runner.set_snapshot_every(self.snapshot_every);
         runner.set_clock(self.clock);
-        runner.set_threads(threads);
         runner
     }
 

@@ -140,3 +140,30 @@ fn built_runner_matches_spec_semantics() {
         .run();
     assert_eq!(again.stats, out.stats);
 }
+
+#[test]
+fn specs_with_a_stale_threads_field_still_load() {
+    // Spec files written before the `threads` field was removed still
+    // carry it; the parser skips the unknown key, and the leftover line
+    // must not change the scenario or its result-cache key.
+    let scenario = Scenario::new("stale", Design::StaticBubble).with_faults(FaultSpec::Model {
+        kind: FaultKind::Links,
+        count: 15,
+        seed: 7,
+    });
+    let toml = format!("threads = 4\n{}", scenario.to_toml().unwrap());
+    let json = scenario
+        .to_json()
+        .unwrap()
+        .replacen('{', "{\n  \"threads\": 4,", 1);
+    for parsed in [
+        Scenario::from_toml(&toml).expect("stale TOML loads"),
+        Scenario::from_json(&json).expect("stale JSON loads"),
+    ] {
+        assert_eq!(parsed, scenario);
+        assert_eq!(
+            parsed.content_fingerprint().unwrap(),
+            scenario.content_fingerprint().unwrap()
+        );
+    }
+}

@@ -44,7 +44,6 @@ const KNOWN_KEYS: &[&str] = &[
     "snapshot-every",
     "bisect",
     "drain",
-    "threads",
 ];
 
 impl Cli {
@@ -151,9 +150,6 @@ fn apply_flags(cli: &Cli, mut s: Scenario) -> Scenario {
     if cli.flag("snapshot-every") {
         s = s.with_snapshot_every(cli.get("snapshot-every", 0u64));
     }
-    if cli.flag("threads") {
-        s = s.with_threads(cli.get("threads", 1usize));
-    }
     s.with_warmup(warmup)
         .with_cycles(cycles)
         .with_tdd(tdd)
@@ -216,11 +212,7 @@ fn main() {
              \x20            [--seed 1] [--heatmap] [--clock step|leap]\n\
              \x20            [--scenario FILE.toml|FILE.json] [--dump-scenario]\n\
              \x20            [--snapshot-every N] [--drain BUDGET] [--bisect]\n\
-             \x20            [--threads N]\n\
              \n\
-             --threads: worker threads for the deterministic parallel tick\n\
-             (1 = sequential, 0 = auto-detect). Results are bit-identical at\n\
-             any count — this is a wall-clock knob only.\n\
              --drain: after the measured window, halt injection and run until\n\
              the network empties (or BUDGET cycles pass) — the paper pipeline's\n\
              wedge probe.\n\
