@@ -67,7 +67,7 @@ fn main() {
         ) {
             let core = sim.core();
             println!("node {}: {:?} count={} tdr={} bubble_attach={:?} bubble_occupied={} occupant_wants={:?}",
-                b.0, f.state, f.count, f.tdr, core.bubble_attach(*b),
+                b.0, f.state, f.count(core.time()), f.tdr, core.bubble_attach(*b),
                 core.bubble_occupant(*b).is_some(),
                 core.bubble_occupant(*b).map(|p| p.desired_hop()));
         }

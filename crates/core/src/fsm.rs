@@ -120,8 +120,12 @@ pub struct SbFsm {
     pub node: NodeId,
     /// Current state.
     pub state: FsmState,
-    /// The counter (cycles since last restart).
-    pub count: u64,
+    /// The counter as an armed-at stamp: the first cycle it counts. The
+    /// paper's counters are monotone and reset only on events, so the
+    /// stamp alone is the counter — it reads `t + 1 − armed_at` at the FSM
+    /// tick of cycle `t` under any clock, with no per-cycle update (see
+    /// [`SbFsm::count`] and [`SbFsm::deadline`]).
+    pub armed_at: u64,
     /// Deadlock-detection threshold (configurable; Table II uses 34).
     pub tdd: u64,
     /// Deadlock-resolution threshold (set from the latched path).
@@ -171,7 +175,7 @@ impl SbFsm {
         SbFsm {
             node,
             state: FsmState::SOff,
-            count: 0,
+            armed_at: 0,
             tdd: tdd.max(1),
             tdr: 0,
             watching: None,
@@ -204,9 +208,41 @@ impl SbFsm {
         std::mem::take(&mut self.illegal)
     }
 
-    /// Restart the counter ("rsc" in Fig. 5).
-    pub fn restart_counter(&mut self) {
-        self.count = 0;
+    /// Restart the counter ("rsc" in Fig. 5) so that cycle `at` is the
+    /// first one it counts. A restart made while cycle `T`'s special
+    /// messages are delivered passes `T` (the FSM tick of `T` that follows
+    /// counts); a restart made by that tick or later in the cycle passes
+    /// `T + 1`.
+    pub fn restart_counter(&mut self, at: u64) {
+        self.armed_at = at;
+    }
+
+    /// The counter between ticks at cycle `now`: the cycles counted by the
+    /// ticks before `now`. Only meaningful outside `SOff`.
+    pub fn count(&self, now: u64) -> u64 {
+        now.saturating_sub(self.armed_at)
+    }
+
+    /// The first cycle whose FSM tick finds the counter past the current
+    /// state's threshold, or `None` in `SOff` (counter off). The counter
+    /// reads `t + 1 − armed_at` at the tick of cycle `t`, so a `≥ th`
+    /// threshold expires at `armed_at + th − 1` and a `> th` threshold at
+    /// `armed_at + th`. `bubble_empty` selects the `SSbActive` watchdog
+    /// stage. The plugin's tick and its leap-clock timer both read this,
+    /// so the thresholds live here only.
+    pub fn deadline(&self, bubble_empty: bool) -> Option<u64> {
+        let past = match self.state {
+            FsmState::SOff => return None,
+            // Detection: `≥ effective_tdd`.
+            FsmState::SDd => self.effective_tdd().saturating_sub(1),
+            // The disable, check-probe and enable round trips: `> t_DR`.
+            FsmState::SDisable | FsmState::SCheckProbe | FsmState::SEnable => self.tdr,
+            // Bubble watchdogs: `> t_DR` while unclaimed, and a longer
+            // `> max(8·t_DR, 4·t_DD)` while an occupant holds it.
+            FsmState::SSbActive if bubble_empty => self.tdr,
+            FsmState::SSbActive => (8 * self.tdr).max(4 * self.tdd),
+        };
+        Some(self.armed_at + past)
     }
 
     /// Effective detection threshold including probe backoff. Retries
@@ -232,24 +268,25 @@ impl SbFsm {
     }
 
     /// Latch a returned probe: store the path, switch to `SDisable`, set
-    /// `t_DR`.
-    pub fn latch_probe(&mut self, turns: Vec<Turn>) {
+    /// `t_DR`, and restart the counter from cycle `at`.
+    pub fn latch_probe(&mut self, turns: Vec<Turn>, at: u64) {
         self.probe_backoff = 0;
         self.tdr = 2 * (turns.len() as u64 + 1);
         self.turn_buffer = turns;
         self.goto(FsmState::SDisable);
-        self.restart_counter();
+        self.restart_counter(at);
     }
 
     /// Clear all recovery registers and return to detection (`watching`
-    /// will be re-pointed by the plugin).
-    pub fn clear_recovery(&mut self) {
+    /// will be re-pointed by the plugin), restarting the counter from
+    /// cycle `at`.
+    pub fn clear_recovery(&mut self, at: u64) {
         self.enable_retries = 0;
         self.turn_buffer.clear();
         self.tdr = 0;
         self.watching = None;
         self.goto(FsmState::SOff);
-        self.restart_counter();
+        self.restart_counter(at);
     }
 }
 
@@ -273,12 +310,34 @@ mod tests {
     #[test]
     fn latch_probe_sets_tdr_and_state() {
         let mut fsm = SbFsm::new(NodeId(5), 34);
-        fsm.count = 17;
-        fsm.latch_probe(vec![Turn::Left; 5]);
+        fsm.latch_probe(vec![Turn::Left; 5], 100);
         assert_eq!(fsm.state, FsmState::SDisable);
         assert_eq!(fsm.tdr, 12);
-        assert_eq!(fsm.count, 0);
+        assert_eq!(fsm.armed_at, 100);
+        assert_eq!(fsm.count(100), 0);
+        assert_eq!(fsm.count(105), 5);
         assert!(fsm.in_recovery());
+    }
+
+    #[test]
+    fn deadlines_follow_each_state_threshold() {
+        let mut fsm = SbFsm::new(NodeId(5), 10);
+        assert_eq!(fsm.deadline(true), None, "SOff: counter off");
+        // Detection fires at the tick where the counter reaches t_DD: armed
+        // at 20, the tick of cycle 29 is its tenth.
+        fsm.goto(FsmState::SDd);
+        fsm.restart_counter(20);
+        assert_eq!(fsm.deadline(true), Some(29));
+        fsm.probe_backoff = 1;
+        assert_eq!(fsm.deadline(true), Some(39));
+        // Recovery states fire once the counter exceeds t_DR = 10.
+        fsm.latch_probe(vec![Turn::Left; 4], 50);
+        assert_eq!(fsm.deadline(true), Some(60));
+        fsm.goto(FsmState::SSbActive);
+        assert_eq!(fsm.deadline(true), Some(60));
+        assert_eq!(fsm.deadline(false), Some(50 + 80));
+        fsm.goto(FsmState::SEnable);
+        assert_eq!(fsm.deadline(false), Some(60));
     }
 
     #[test]
@@ -297,7 +356,7 @@ mod tests {
     fn latch_resets_backoff() {
         let mut fsm = SbFsm::new(NodeId(1), 10);
         fsm.probe_backoff = 3;
-        fsm.latch_probe(vec![Turn::Left; 4]);
+        fsm.latch_probe(vec![Turn::Left; 4], 0);
         assert_eq!(fsm.probe_backoff, 0);
         assert_eq!(fsm.tdr, 10);
     }
@@ -330,10 +389,11 @@ mod tests {
     #[test]
     fn clear_recovery_resets_everything() {
         let mut fsm = SbFsm::new(NodeId(5), 34);
-        fsm.latch_probe(vec![Turn::Right; 3]);
+        fsm.latch_probe(vec![Turn::Right; 3], 0);
         fsm.state = FsmState::SEnable;
-        fsm.clear_recovery();
+        fsm.clear_recovery(7);
         assert_eq!(fsm.state, FsmState::SOff);
+        assert_eq!(fsm.armed_at, 7);
         assert!(fsm.turn_buffer.is_empty());
         assert!(!fsm.in_recovery());
     }

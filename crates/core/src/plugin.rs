@@ -25,7 +25,8 @@ use crate::placement;
 use sb_sim::{AuditClass, InputRef, NetCore, OutPort, Plugin, SlotRef, VcRef, Violation};
 use sb_topology::{Direction, Mesh, NodeId, Turn, DIRECTIONS};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::VecDeque;
 
 /// Per-router protocol registers present in **every** router (SB or not):
 /// the `is_deadlock` bit, the IO-priority buffer and the source-id buffer.
@@ -447,7 +448,9 @@ impl Default for SbOptions {
 /// The Static Bubble deadlock-recovery plugin (one per simulation).
 #[derive(Debug)]
 pub struct StaticBubblePlugin {
-    fsms: BTreeMap<NodeId, SbFsm>,
+    /// The counter FSMs, indexed by router; `None` at routers without a
+    /// static bubble.
+    fsms: Vec<Option<SbFsm>>,
     prot: Vec<ProtState>,
     in_flight: Vec<InFlightMsg>,
     tdd: u64,
@@ -457,11 +460,6 @@ pub struct StaticBubblePlugin {
     /// Ring of the last [`RECENT_MSG_CAP`] special-message transmissions,
     /// reported by [`Plugin::forensic_lines`].
     recent: VecDeque<MsgRecord>,
-    /// Cycle of the last `before_cycle` call. FSM counters advance by the
-    /// elapsed time since then, so cycles skipped by the leap clock — during
-    /// which the counted condition provably held — are accounted exactly as
-    /// if they had been stepped through.
-    last_tick: Option<u64>,
     /// Always-on protocol counters (see [`ProtoCounters`]).
     counters: ProtoCounters,
     /// Event tracing toggle ([`sb_sim::Plugin::set_tracing`]).
@@ -497,16 +495,14 @@ impl StaticBubblePlugin {
         // identical periods at every node phase-lock probe collisions in a
         // synchronous network (real timers drift; DSENT-era designs stagger
         // counters for the same reason).
-        let fsms = nodes
-            .iter()
-            .map(|&n| {
-                let mut fsm = SbFsm::new(n, tdd + u64::from(n.0) % 7);
-                if opts.probe_desync {
-                    fsm.retry_stagger = u64::from(n.0);
-                }
-                (n, fsm)
-            })
-            .collect();
+        let mut fsms = vec![None; mesh.node_count()];
+        for &n in nodes {
+            let mut fsm = SbFsm::new(n, tdd + u64::from(n.0) % 7);
+            if opts.probe_desync {
+                fsm.retry_stagger = u64::from(n.0);
+            }
+            fsms[n.index()] = Some(fsm);
+        }
         StaticBubblePlugin {
             fsms,
             prot: vec![ProtState::default(); mesh.node_count()],
@@ -515,7 +511,6 @@ impl StaticBubblePlugin {
             restriction_ttl: 64 * tdd.max(1),
             opts,
             recent: VecDeque::with_capacity(RECENT_MSG_CAP),
-            last_tick: None,
             counters: ProtoCounters::default(),
             trace_on: false,
             events: VecDeque::new(),
@@ -547,14 +542,14 @@ impl StaticBubblePlugin {
 
     /// The FSM of a static-bubble router, if `node` is one.
     pub fn fsm(&self, node: NodeId) -> Option<&SbFsm> {
-        self.fsms.get(&node)
+        self.fsms.get(node.index())?.as_ref()
     }
 
     /// Mutable access to the FSM of a static-bubble router — a test hook
     /// for seeding auditor violations. Production transitions go through
     /// the plugin's own message handlers.
     pub fn fsm_mut(&mut self, node: NodeId) -> Option<&mut SbFsm> {
-        self.fsms.get_mut(&node)
+        self.fsms.get_mut(node.index())?.as_mut()
     }
 
     /// Number of routers currently frozen (`is_deadlock` set).
@@ -621,6 +616,15 @@ impl StaticBubblePlugin {
         });
     }
 
+    /// Send a `kind` message from static-bubble router `router` along its
+    /// FSM's latched path, out of the probed output.
+    fn send_on_path(&mut self, core: &mut NetCore, router: NodeId, kind: MsgKind) {
+        let fsm = self.fsm(router).expect("SB node");
+        let out = fsm.probe_out;
+        let msg = SpecialMsg::with_path(kind, router, fsm.probe_vnet, fsm.turn_buffer.clone());
+        self.send(core, router, out, msg);
+    }
+
     // ------------------------------------------------------------------
     // Message evaluation (transit messages at any router)
     // ------------------------------------------------------------------
@@ -637,7 +641,7 @@ impl StaticBubblePlugin {
     ) -> Vec<Action> {
         let travel = in_port.opposite();
         let prot = &self.prot[router.index()];
-        let is_sb = self.fsms.contains_key(&router);
+        let fsm = self.fsm(router);
         match msg.kind {
             MsgKind::Probe => {
                 // SB nodes drop probes from lower-id senders — the higher-id
@@ -648,7 +652,7 @@ impl StaticBubblePlugin {
                 // them.
                 let bubble_usable =
                     core.has_bubble(router) && core.bubble_occupant(router).is_none();
-                if is_sb && msg.sender < router && bubble_usable {
+                if fsm.is_some() && msg.sender < router && bubble_usable {
                     return vec![Action::Drop(DropReason::LowerSender)];
                 }
                 // Fork iff all VCs of the vnet at this input port are active.
@@ -682,7 +686,7 @@ impl StaticBubblePlugin {
                 copies
             }
             MsgKind::Disable => {
-                if is_sb && self.fsms[&router].in_recovery() {
+                if fsm.is_some_and(SbFsm::in_recovery) {
                     return vec![Action::Drop(DropReason::DisableInRecovery)];
                 }
                 if prot.is_deadlock {
@@ -770,7 +774,7 @@ impl StaticBubblePlugin {
                 // release-mode reject (was a bare `debug_assert!`) so that
                 // any future reordering of the before_cycle pipeline fails
                 // safe instead of corrupting recovery state.
-                if self.fsms.get(&router).is_some_and(SbFsm::in_recovery) {
+                if self.fsm(router).is_some_and(SbFsm::in_recovery) {
                     debug_assert!(false, "disable applied at in-recovery SB node");
                     self.counters.note_drop(DropReason::DisableInRecovery);
                     self.record(ProtoEvent::Drop {
@@ -793,10 +797,11 @@ impl StaticBubblePlugin {
                 core.touch(router);
                 // An SB node in detection that processes a (higher-id)
                 // disable sends its counter to SOff.
-                if let Some(fsm) = self.fsms.get_mut(&router) {
+                let now = core.time();
+                if let Some(fsm) = self.fsm_mut(router) {
                     fsm.goto(FsmState::SOff);
                     fsm.watching = None;
-                    fsm.restart_counter();
+                    fsm.restart_counter(now);
                 }
             }
             MsgKind::Enable => {
@@ -826,7 +831,10 @@ impl StaticBubblePlugin {
         in_port: Direction,
         msg: SpecialMsg,
     ) -> Option<(Direction, SpecialMsg)> {
-        let Some(state) = self.fsms.get(&router).map(|f| f.state) else {
+        // Restarts made while messages are delivered count this cycle's
+        // FSM tick, which follows delivery.
+        let now = core.time();
+        let Some(state) = self.fsm(router).map(|f| f.state) else {
             debug_assert!(false, "returned message at non-SB node");
             return None;
         };
@@ -878,17 +886,11 @@ impl StaticBubblePlugin {
                         vnet: msg.vnet,
                         turns: msg.turns.len(),
                     });
-                    let fsm = self.fsms.get_mut(&router).expect("checked SB node");
+                    let fsm = self.fsm_mut(router).expect("checked SB node");
                     fsm.probe_out = origin_out;
                     fsm.probe_vnet = msg.vnet;
-                    fsm.latch_probe(msg.turns.clone());
-                    let disable = SpecialMsg::with_path(
-                        MsgKind::Disable,
-                        router,
-                        msg.vnet,
-                        fsm.turn_buffer.clone(),
-                    );
-                    self.send(core, router, origin_out, disable);
+                    fsm.latch_probe(msg.turns.clone(), now);
+                    self.send_on_path(core, router, MsgKind::Disable);
                     return None;
                 }
                 let drop = |this: &mut Self, core: &mut NetCore, reason: DropReason| {
@@ -904,7 +906,7 @@ impl StaticBubblePlugin {
                         reason,
                     });
                 };
-                if self.fsms[&router].in_recovery() {
+                if self.fsm(router).is_some_and(SbFsm::in_recovery) {
                     // Mid-recovery: one recovery at a time, so this second
                     // cycle's probe is discarded — loudly (satellite of
                     // ISSUE 9): the drop is a protocol-level loss of
@@ -935,7 +937,7 @@ impl StaticBubblePlugin {
                 }
                 // Validate the sender's own buffer dependence (a false
                 // positive may have cleared while the disable circulated).
-                let out = self.fsms[&router].probe_out;
+                let out = self.fsm(router).expect("checked SB node").probe_out;
                 let holds = core.all_vcs_occupied(router, in_port, msg.vnet)
                     && core
                         .wanted_outputs(router, in_port, msg.vnet)
@@ -956,10 +958,10 @@ impl StaticBubblePlugin {
                     });
                     return None; // timeout will send the enable
                 }
-                let fsm = self.fsms.get_mut(&router).expect("checked SB node");
+                let fsm = self.fsm_mut(router).expect("checked SB node");
                 fsm.goto(FsmState::SSbActive);
                 fsm.chain_in = in_port;
-                fsm.restart_counter();
+                fsm.restart_counter(now);
                 let vnet = msg.vnet;
                 self.counters.recoveries += 1;
                 self.record(ProtoEvent::Recover {
@@ -973,7 +975,7 @@ impl StaticBubblePlugin {
                     is_deadlock: true,
                     io: Some((in_port, out)),
                     source: Some(router),
-                    expires_at: core.time() + self.restriction_ttl,
+                    expires_at: now + self.restriction_ttl,
                 };
                 // Restriction changed what allow_grant permits here
                 // (wakeup invariant; bubble_activate wakes the feeder).
@@ -986,10 +988,10 @@ impl StaticBubblePlugin {
                 if state != FsmState::SCheckProbe {
                     return None;
                 }
-                let fsm = self.fsms.get_mut(&router).expect("checked SB node");
+                let fsm = self.fsm_mut(router).expect("checked SB node");
                 // The chain is still deadlocked: open the bubble again.
                 fsm.goto(FsmState::SSbActive);
-                fsm.restart_counter();
+                fsm.restart_counter(now);
                 let (port, vnet) = (fsm.chain_in, fsm.probe_vnet);
                 core.bubble_activate(router, port, vnet);
                 None
@@ -1004,18 +1006,7 @@ impl StaticBubblePlugin {
                 // what guarantees the FSM eventually probes a VC that lies
                 // on a recoverable cycle instead of retrying one whose
                 // probe keeps failing validation.
-                let fsm = self.fsms.get_mut(&router).expect("checked SB node");
-                let after = fsm.watching.map(|w| (w.port, w.vc));
-                fsm.clear_recovery();
-                self.prot[router.index()] = ProtState::default();
-                // Lifting the local restriction re-enables grants here.
-                core.touch(router);
-                let fsm = self.fsms.get_mut(&router).expect("still an SB node");
-                if let Some(ptr) = Self::next_occupied_vc(core, router, after) {
-                    fsm.watching = Some(ptr);
-                    fsm.goto(FsmState::SDd);
-                    fsm.restart_counter();
-                }
+                self.end_recovery(core, router, now);
                 None
             }
         }
@@ -1028,8 +1019,11 @@ impl StaticBubblePlugin {
     /// is what lets the bubble be re-claimed even when its occupant is stuck
     /// behind unrelated congestion.
     fn relocate_bubble_occupants(&mut self, core: &mut NetCore) {
-        let nodes: Vec<NodeId> = self.fsms.keys().copied().collect();
-        for router in nodes {
+        for i in 0..self.fsms.len() {
+            if self.fsms[i].is_none() {
+                continue;
+            }
+            let router = NodeId::from(i);
             let Some((port, vnet)) = core.bubble_attach(router) else {
                 continue;
             };
@@ -1087,20 +1081,40 @@ impl StaticBubblePlugin {
         None
     }
 
-    /// Advance the counter FSM at `router` by one executed tick. `dt` is the
-    /// number of cycles since the previous executed tick (always 1 under the
-    /// step clock); counters advance by `dt` because every skipped cycle
-    /// provably satisfied the same increment condition (nothing moves during
-    /// a leaped gap), and [`Plugin::next_timer`] guarantees the gap never
-    /// overshoots a threshold crossing.
-    fn tick_fsm(&mut self, core: &mut NetCore, router: NodeId, dt: u64) {
-        let fsm = self.fsms.get_mut(&router).expect("ticking SB node");
+    /// End a recovery at `router`: clear the FSM's recovery registers and
+    /// its local restriction, then resume detection at the next occupied VC
+    /// after the one the attempt watched (or switch off), with the counter
+    /// armed at `at`.
+    fn end_recovery(&mut self, core: &mut NetCore, router: NodeId, at: u64) {
+        let fsm = self.fsm_mut(router).expect("SB node");
+        let after = fsm.watching.map(|w| (w.port, w.vc));
+        fsm.clear_recovery(at);
+        self.prot[router.index()] = ProtState::default();
+        // Lifting the local restriction re-enables grants here.
+        core.touch(router);
+        if let Some(ptr) = Self::next_occupied_vc(core, router, after) {
+            let fsm = self.fsm_mut(router).expect("SB node");
+            fsm.watching = Some(ptr);
+            fsm.goto(FsmState::SDd);
+            fsm.restart_counter(at);
+        }
+    }
+
+    /// Run the counter FSM at `router` for this cycle's tick. Counters are
+    /// armed-at stamps, so a tick adds nothing: it compares the cycle with
+    /// [`SbFsm::deadline`], which reads the same under the step and the
+    /// leap clock. Restarts made here count from the next cycle.
+    fn tick_fsm(&mut self, core: &mut NetCore, router: NodeId) {
+        let now = core.time();
+        let bubble_empty = core.has_bubble(router) && core.bubble_occupant(router).is_none();
+        let fsm = self.fsms[router.index()].as_mut().expect("ticking SB node");
+        let expired = fsm.deadline(bubble_empty).is_some_and(|at| now >= at);
         match fsm.state {
             FsmState::SOff => {
                 if let Some(ptr) = Self::next_occupied_vc(core, router, None) {
                     fsm.watching = Some(ptr);
                     fsm.goto(FsmState::SDd);
-                    fsm.restart_counter();
+                    fsm.restart_counter(now + 1);
                 }
             }
             FsmState::SDd => {
@@ -1116,14 +1130,13 @@ impl StaticBubblePlugin {
                 let still_waiting = occ.and_then(|p| p.desired_hop());
                 match still_waiting {
                     Some(dir) => {
-                        fsm.count += dt;
-                        if fsm.count >= fsm.effective_tdd() {
+                        if expired {
                             // Timeout: suspected deadlock. Send a probe out
                             // of the output port the stuck packet wants.
                             let vnet = watched_vnet.expect("checked occupied");
                             fsm.probe_out = dir;
                             fsm.probe_vnet = vnet;
-                            fsm.restart_counter();
+                            fsm.restart_counter(now + 1);
                             // Advance the pointer round-robin so every
                             // stalled VC is probed in turn. (Deviation from
                             // the letter of Fig. 5, which advances only when
@@ -1150,121 +1163,66 @@ impl StaticBubblePlugin {
                         {
                             Some(ptr) => {
                                 fsm.watching = Some(ptr);
-                                fsm.restart_counter();
+                                fsm.restart_counter(now + 1);
                             }
                             None => {
                                 fsm.watching = None;
                                 fsm.goto(FsmState::SOff);
-                                fsm.restart_counter();
+                                fsm.restart_counter(now + 1);
                             }
                         }
                     }
                 }
             }
+            _ if !expired => {}
             FsmState::SDisable | FsmState::SCheckProbe => {
-                fsm.count += dt;
-                if fsm.count > fsm.tdr {
-                    // The disable/check-probe was dropped mid-way: release
-                    // the restrictions placed so far.
-                    fsm.goto(FsmState::SEnable);
-                    fsm.restart_counter();
-                    let enable = SpecialMsg::with_path(
-                        MsgKind::Enable,
-                        router,
-                        fsm.probe_vnet,
-                        fsm.turn_buffer.clone(),
-                    );
-                    let out = fsm.probe_out;
-                    self.send(core, router, out, enable);
-                }
+                // The disable/check-probe was dropped mid-way: release the
+                // restrictions placed so far.
+                fsm.goto(FsmState::SEnable);
+                fsm.restart_counter(now + 1);
+                self.send_on_path(core, router, MsgKind::Enable);
             }
             FsmState::SEnable => {
-                fsm.count += dt;
-                if fsm.count > fsm.tdr {
-                    fsm.restart_counter();
-                    fsm.enable_retries += 1;
-                    if fsm.enable_retries > 4 {
-                        // Give up (deviation, DESIGN.md): long latched paths
-                        // can make the enable's round trip arbitrarily
-                        // fragile under heavy special-message traffic.
-                        // Clear local state and return to detection duty;
-                        // restrictions at unreachable routers expire via the
-                        // TTL.
-                        let after = fsm.watching.map(|w| (w.port, w.vc));
-                        fsm.clear_recovery();
-                        self.prot[router.index()] = ProtState::default();
-                        // Lifting the local restriction re-enables grants.
-                        core.touch(router);
-                        let fsm = self.fsms.get_mut(&router).expect("SB node");
-                        if let Some(ptr) = Self::next_occupied_vc(core, router, after) {
-                            fsm.watching = Some(ptr);
-                            fsm.goto(FsmState::SDd);
-                            fsm.restart_counter();
-                        }
-                        return;
-                    }
-                    let enable = SpecialMsg::with_path(
-                        MsgKind::Enable,
-                        router,
-                        fsm.probe_vnet,
-                        fsm.turn_buffer.clone(),
-                    );
-                    let out = fsm.probe_out;
-                    self.send(core, router, out, enable);
+                fsm.restart_counter(now + 1);
+                fsm.enable_retries += 1;
+                if fsm.enable_retries > 4 {
+                    // Give up (deviation, DESIGN.md): long latched paths can
+                    // make the enable's round trip arbitrarily fragile under
+                    // heavy special-message traffic. Clear local state and
+                    // return to detection duty; restrictions at unreachable
+                    // routers expire via the TTL.
+                    self.end_recovery(core, router, now + 1);
+                    return;
                 }
+                self.send_on_path(core, router, MsgKind::Enable);
             }
+            // The paper leaves the counter off in SSbActive and relies on
+            // the bubble being claimed by the frozen chain. If the buffer
+            // dependence drifted while the disable circulated (a congestion
+            // false positive), nobody ever claims the bubble and the FSM
+            // would wedge with its chain frozen forever. Watchdog
+            // (deviation, see DESIGN.md): an *unclaimed* bubble for t_DR
+            // cycles is treated like a reclaim — switch it off and re-verify
+            // the chain with a check-probe.
+            FsmState::SSbActive if bubble_empty => {
+                fsm.goto(FsmState::SCheckProbe);
+                fsm.restart_counter(now + 1);
+                core.bubble_deactivate(router);
+                self.send_on_path(core, router, MsgKind::CheckProbe);
+            }
+            // Occupied bubble: normally the ring rotates and the occupant
+            // departs within a few serialization times. If the chain
+            // dependence drifted mid-recovery the rotation can wedge with the
+            // occupant stuck behind unrelated traffic while our restrictions
+            // starve the rest of the network. Second watchdog stage
+            // (deviation, DESIGN.md): release the restrictions; the occupant
+            // drains as an ordinary buffered packet and the bubble stays
+            // deactivated until then.
             FsmState::SSbActive => {
-                // The paper leaves the counter off here and relies on the
-                // bubble being claimed by the frozen chain. If the buffer
-                // dependence drifted while the disable circulated (a
-                // congestion false positive), nobody ever claims the bubble
-                // and the FSM would wedge with its chain frozen forever.
-                // Watchdog (deviation, see DESIGN.md): an *unclaimed* bubble
-                // for t_DR cycles is treated like a reclaim — switch it off
-                // and re-verify the chain with a check-probe.
-                let bubble_empty =
-                    core.has_bubble(router) && core.bubble_occupant(router).is_none();
-                if bubble_empty {
-                    fsm.count += dt;
-                    if fsm.count > fsm.tdr {
-                        fsm.goto(FsmState::SCheckProbe);
-                        fsm.restart_counter();
-                        let cp = SpecialMsg::with_path(
-                            MsgKind::CheckProbe,
-                            router,
-                            fsm.probe_vnet,
-                            fsm.turn_buffer.clone(),
-                        );
-                        let out = fsm.probe_out;
-                        core.bubble_deactivate(router);
-                        self.send(core, router, out, cp);
-                    }
-                } else {
-                    // Occupied bubble: normally the ring rotates and the
-                    // occupant departs within a few serialization times. If
-                    // the chain dependence drifted mid-recovery the rotation
-                    // can wedge with the occupant stuck behind unrelated
-                    // traffic while our restrictions starve the rest of the
-                    // network. Second watchdog stage (deviation, DESIGN.md):
-                    // release the restrictions; the occupant drains as an
-                    // ordinary buffered packet and the bubble stays
-                    // deactivated until then.
-                    fsm.count += dt;
-                    let occupied_watchdog = (8 * fsm.tdr).max(4 * fsm.tdd);
-                    if fsm.count > occupied_watchdog {
-                        core.bubble_deactivate(router);
-                        fsm.goto(FsmState::SEnable);
-                        fsm.restart_counter();
-                        let enable = SpecialMsg::with_path(
-                            MsgKind::Enable,
-                            router,
-                            fsm.probe_vnet,
-                            fsm.turn_buffer.clone(),
-                        );
-                        let out = fsm.probe_out;
-                        self.send(core, router, out, enable);
-                    }
-                }
+                core.bubble_deactivate(router);
+                fsm.goto(FsmState::SEnable);
+                fsm.restart_counter(now + 1);
+                self.send_on_path(core, router, MsgKind::Enable);
             }
         }
     }
@@ -1277,13 +1235,6 @@ impl Plugin for StaticBubblePlugin {
 
     fn before_cycle(&mut self, core: &mut NetCore) {
         let now = core.time();
-        // Cycles since the previous executed tick (1 under the step clock;
-        // the leaped-over gap under the leap clock). See tick_fsm.
-        let dt = match self.last_tick {
-            Some(prev) => now - prev,
-            None => 1,
-        };
-        self.last_tick = Some(now);
         // TTL sweep: lost enables cannot poison a router forever. Lifting a
         // restriction can re-enable grants, so the router must wake
         // (wakeup invariant, see `sb_sim::Plugin`).
@@ -1293,29 +1244,23 @@ impl Plugin for StaticBubblePlugin {
                 core.touch(NodeId::from(i));
             }
         }
-        // 1. Deliver messages arriving this cycle, grouped by router.
-        let mut arrivals: BTreeMap<NodeId, Vec<(Direction, SpecialMsg)>> = BTreeMap::new();
-        let mut still_flying = Vec::with_capacity(self.in_flight.len());
-        for m in std::mem::take(&mut self.in_flight) {
-            if m.arrive_at <= now {
-                arrivals.entry(m.to).or_default().push((m.in_port, m.msg));
-            } else {
-                still_flying.push(m);
-            }
-        }
-        self.in_flight = still_flying;
-
-        for (router, mut msgs) in arrivals {
+        // 1. Deliver messages arriving this cycle, grouped by router in
+        // ascending id order. Within a router the stable sort puts higher
+        // priority first, then higher sender, then send order.
+        let mut due: Vec<InFlightMsg> = self
+            .in_flight
+            .extract_if(.., |m| m.arrive_at <= now)
+            .collect();
+        due.sort_by_key(|m| (m.to, Reverse(m.msg.kind.priority()), Reverse(m.msg.sender)));
+        let mut due = due.into_iter().peekable();
+        while let Some(first) = due.next() {
+            let router = first.to;
+            let msgs = std::iter::once(first)
+                .chain(std::iter::from_fn(|| due.next_if(|m| m.to == router)));
             // Returned messages are consumed first (the FSM has additional
             // control over processing order at its own node).
-            msgs.sort_by_key(|(_, m)| {
-                (
-                    std::cmp::Reverse(m.kind.priority()),
-                    std::cmp::Reverse(m.sender),
-                )
-            });
             let mut transit: Vec<(Direction, SpecialMsg)> = Vec::new();
-            for (in_port, msg) in msgs {
+            for InFlightMsg { in_port, msg, .. } in msgs {
                 if msg.sender == router {
                     // A returned probe whose walk has not closed yet
                     // re-enters the transit path and keeps walking.
@@ -1418,10 +1363,11 @@ impl Plugin for StaticBubblePlugin {
             }
         }
 
-        // 2. Tick every FSM.
-        let nodes: Vec<NodeId> = self.fsms.keys().copied().collect();
-        for n in nodes {
-            self.tick_fsm(core, n, dt);
+        // 2. Tick every FSM, in ascending router order.
+        for i in 0..self.fsms.len() {
+            if self.fsms[i].is_some() {
+                self.tick_fsm(core, NodeId::from(i));
+            }
         }
     }
 
@@ -1444,13 +1390,15 @@ impl Plugin for StaticBubblePlugin {
                 note(p.expires_at);
             }
         }
-        // Counter FSMs: each fires (probe / timeout / watchdog) at the tick
-        // where its counter crosses the state's threshold. `fsm.count`
-        // reflects the last executed tick at `now - 1`, so the crossing tick
-        // is `now + (threshold_excess - 1)`. Bounds may be conservative
-        // (early) — a woken tick that fires nothing just re-arms the timer —
-        // but are never late.
-        for (&router, fsm) in &self.fsms {
+        // Counter FSMs fire (probe / timeout / watchdog) at their deadline.
+        // Bounds may be conservative (early) — a woken tick that fires
+        // nothing just re-arms the timer — but are never late.
+        for fsm in self.fsms.iter().flatten() {
+            let router = fsm.node;
+            let bubble_empty = core.has_bubble(router) && core.bubble_occupant(router).is_none();
+            if let Some(at) = fsm.deadline(bubble_empty) {
+                note(at);
+            }
             match fsm.state {
                 FsmState::SOff => {
                     // Leaves SOff as soon as any VC is occupied — something
@@ -1472,32 +1420,14 @@ impl Plugin for StaticBubblePlugin {
                         })
                         .filter(|p| p.id == watched.pkt)
                         .and_then(|p| p.desired_hop());
-                    match still_waiting {
-                        // Counting towards the probe timeout.
-                        Some(_) => note(
-                            now + fsm
-                                .effective_tdd()
-                                .saturating_sub(fsm.count)
-                                .saturating_sub(1),
-                        ),
-                        // The watched flit left: the pointer rotates on the
-                        // very next tick (a per-tick action dt cannot
-                        // replay), so do not leap.
-                        None => note(now),
+                    // The watched flit left: the pointer rotates on the very
+                    // next tick (a per-tick action, not a deadline), so do
+                    // not leap.
+                    if still_waiting.is_none() {
+                        note(now);
                     }
                 }
-                FsmState::SDisable | FsmState::SCheckProbe | FsmState::SEnable => {
-                    note(now + (fsm.tdr + 1).saturating_sub(fsm.count).saturating_sub(1));
-                }
                 FsmState::SSbActive => {
-                    let bubble_empty =
-                        core.has_bubble(router) && core.bubble_occupant(router).is_none();
-                    let th = if bubble_empty {
-                        fsm.tdr
-                    } else {
-                        (8 * fsm.tdr).max(4 * fsm.tdd)
-                    };
-                    note(now + (th + 1).saturating_sub(fsm.count).saturating_sub(1));
                     // Footnote-6 relocation (after_cycle) triggers as soon
                     // as a regular VC at the attach port frees — which can
                     // happen purely by time when a slot is draining.
@@ -1513,6 +1443,7 @@ impl Plugin for StaticBubblePlugin {
                         }
                     }
                 }
+                FsmState::SDisable | FsmState::SCheckProbe | FsmState::SEnable => {}
             }
         }
         best
@@ -1560,7 +1491,8 @@ impl Plugin for StaticBubblePlugin {
     }
 
     fn on_bubble_freed(&mut self, core: &mut NetCore, router: NodeId) {
-        let Some(fsm) = self.fsms.get_mut(&router) else {
+        let now = core.time();
+        let Some(fsm) = self.fsms[router.index()].as_mut() else {
             return;
         };
         if fsm.state != FsmState::SSbActive {
@@ -1577,25 +1509,24 @@ impl Plugin for StaticBubblePlugin {
             fsm.goto(FsmState::SEnable);
             MsgKind::Enable
         };
-        fsm.restart_counter();
-        let m = SpecialMsg::with_path(kind, router, fsm.probe_vnet, fsm.turn_buffer.clone());
-        let out = fsm.probe_out;
-        self.send(core, router, out, m);
+        fsm.restart_counter(now + 1);
+        self.send_on_path(core, router, kind);
     }
 
     fn audit_check(&mut self, core: &NetCore, out: &mut Vec<Violation>) {
         // (a) FSM edges outside the Fig. 5 diagram, recorded by goto() at
         // transition time so nothing slips between two audits.
-        for (&node, fsm) in self.fsms.iter_mut() {
+        for fsm in self.fsms.iter_mut().flatten() {
             for it in fsm.take_illegal() {
                 out.push(Violation {
                     class: AuditClass::FsmLegality,
-                    router: Some(node),
+                    router: Some(fsm.node),
                     detail: format!("illegal FSM transition {:?} -> {:?}", it.from, it.to),
                 });
             }
         }
-        for (&node, fsm) in self.fsms.iter() {
+        for fsm in self.fsms.iter().flatten() {
+            let node = fsm.node;
             // (b) Bubble attachment <=> FSM in SSbActive, with the attach
             // port/vnet agreeing with the latched chain.
             let attach = core.bubble_attach(node);
@@ -1636,7 +1567,7 @@ impl Plugin for StaticBubblePlugin {
         }
         // (d) Attached bubbles exist only at static-bubble routers.
         for node in core.topology().mesh().nodes() {
-            if core.bubble_attach(node).is_some() && !self.fsms.contains_key(&node) {
+            if core.bubble_attach(node).is_some() && self.fsm(node).is_none() {
                 out.push(Violation {
                     class: AuditClass::FsmLegality,
                     router: Some(node),
@@ -1658,21 +1589,21 @@ impl Plugin for StaticBubblePlugin {
                     });
                     continue;
                 };
-                if !self.fsms.contains_key(&src) {
-                    out.push(Violation {
+                match self.fsm(src) {
+                    None => out.push(Violation {
                         class: AuditClass::FsmLegality,
                         router: Some(node),
                         detail: format!(
                             "restriction source n{} is not a static-bubble node",
                             src.0
                         ),
-                    });
-                } else if src == node && !self.fsms[&node].in_recovery() {
-                    out.push(Violation {
+                    }),
+                    Some(fsm) if src == node && !fsm.in_recovery() => out.push(Violation {
                         class: AuditClass::FsmLegality,
                         router: Some(node),
                         detail: "self-frozen SB router whose FSM is not in recovery".to_string(),
-                    });
+                    }),
+                    Some(_) => {}
                 }
             } else if p.io.is_some() || p.source.is_some() {
                 out.push(Violation {
@@ -1707,14 +1638,13 @@ impl Plugin for StaticBubblePlugin {
 
     fn snapshot_state(&self) -> Result<String, String> {
         sb_sim::json::to_json_string(&SbState {
-            fsms: self.fsms.values().cloned().collect(),
+            fsms: self.fsms.iter().flatten().cloned().collect(),
             prot: self.prot.clone(),
             in_flight: self.in_flight.clone(),
             tdd: self.tdd,
             restriction_ttl: self.restriction_ttl,
             opts: self.opts,
             recent: self.recent.iter().cloned().collect(),
-            last_tick: self.last_tick,
             counters: self.counters,
             trace_on: self.trace_on,
             events: self.events.iter().cloned().collect(),
@@ -1725,14 +1655,18 @@ impl Plugin for StaticBubblePlugin {
 
     fn restore_state(&mut self, blob: &str) -> Result<(), String> {
         let state: SbState = sb_sim::json::from_json_str(blob).map_err(|e| e.0)?;
-        self.fsms = state.fsms.into_iter().map(|f| (f.node, f)).collect();
+        self.fsms = vec![None; self.fsms.len()];
+        for fsm in state.fsms {
+            let node = fsm.node;
+            let slot = self.fsms.get_mut(node.index());
+            *slot.ok_or_else(|| format!("FSM at n{} is outside the mesh", node.0))? = Some(fsm);
+        }
         self.prot = state.prot;
         self.in_flight = state.in_flight;
         self.tdd = state.tdd;
         self.restriction_ttl = state.restriction_ttl;
         self.opts = state.opts;
         self.recent = state.recent.into();
-        self.last_tick = state.last_tick;
         self.counters = state.counters;
         self.trace_on = state.trace_on;
         self.events = state.events.into();
@@ -1741,19 +1675,18 @@ impl Plugin for StaticBubblePlugin {
     }
 
     fn forensic_lines(&self, core: &NetCore) -> Vec<String> {
-        let _ = core;
         let mut lines = Vec::new();
         lines.push(format!("proto counters: {}", self.counters.summary()));
-        for (&node, fsm) in &self.fsms {
+        for fsm in self.fsms.iter().flatten() {
             if fsm.state == FsmState::SOff {
                 continue;
             }
             lines.push(format!(
                 "fsm n{}: {:?} count={} tdd={} tdr={} probe_out={:?} chain_in={:?} vnet={} \
                  retries={} watching={:?}",
-                node.0,
+                fsm.node.0,
                 fsm.state,
-                fsm.count,
+                fsm.count(core.time()),
                 fsm.effective_tdd(),
                 fsm.tdr,
                 fsm.probe_out,
@@ -1796,9 +1729,9 @@ impl Plugin for StaticBubblePlugin {
 }
 
 /// Snapshot blob of the plugin's complete mutable state
-/// ([`sb_sim::Plugin::snapshot_state`]). The FSM map is flattened to a
-/// vector (each [`SbFsm`] carries its node id) so the blob stays plain
-/// JSON arrays/objects.
+/// ([`sb_sim::Plugin::snapshot_state`]). Only the routers that have an FSM
+/// are listed (each [`SbFsm`] carries its node id and its counter's
+/// armed-at stamp), so the blob stays plain JSON arrays/objects.
 #[derive(Serialize, Deserialize)]
 struct SbState {
     fsms: Vec<SbFsm>,
@@ -1808,7 +1741,6 @@ struct SbState {
     restriction_ttl: u64,
     opts: SbOptions,
     recent: Vec<MsgRecord>,
-    last_tick: Option<u64>,
     counters: ProtoCounters,
     trace_on: bool,
     events: Vec<ProtoEvent>,

@@ -6,11 +6,11 @@
 
 use sb_energy::NetworkConfigCost;
 use sb_routing::{MinimalRouting, RouteSource, TreeOnlyRouting, UpDownRouting};
-use sb_sim::{NoTraffic, SimConfig, Stats, TrafficSource};
+use sb_sim::{SimConfig, Stats, TrafficSource};
 use sb_topology::Topology;
 use sb_workloads::AppTraffic;
 use serde::{Deserialize, Serialize};
-use static_bubble::{placement, SbOptions};
+use static_bubble::placement;
 
 use crate::runner::SimRunner;
 use crate::spec::Scenario;
@@ -96,6 +96,11 @@ impl Design {
 
     /// Run `traffic` over `topo` for `warmup + cycles` cycles and return the
     /// measurement-window statistics.
+    ///
+    /// Assembled through the [`Scenario`] builder (default `t_DD` and
+    /// ablation options), so every experiment — including the
+    /// generic-traffic ones that cannot be written down as a serialized
+    /// spec — goes through the same construction path.
     pub fn run<T: TrafficSource + 'static>(
         self,
         topo: &Topology,
@@ -105,43 +110,11 @@ impl Design {
         warmup: u64,
         cycles: u64,
     ) -> RunOutcome {
-        self.run_with_options(
-            topo,
-            cfg,
-            traffic,
-            seed,
-            warmup,
-            cycles,
-            T_DD,
-            SbOptions::default(),
-        )
-    }
-
-    /// As [`Design::run`], exposing the detection threshold and ablation
-    /// options (only meaningful for [`Design::StaticBubble`]).
-    ///
-    /// Assembled through the [`Scenario`] builder, so every experiment —
-    /// including the generic-traffic ones that cannot be written down as a
-    /// serialized spec — goes through the same construction path.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_with_options<T: TrafficSource + 'static>(
-        self,
-        topo: &Topology,
-        cfg: SimConfig,
-        traffic: T,
-        seed: u64,
-        warmup: u64,
-        cycles: u64,
-        tdd: u64,
-        opts: SbOptions,
-    ) -> RunOutcome {
         let scenario = Scenario::new("design-run", self)
             .with_config(cfg)
             .with_seed(seed)
             .with_warmup(warmup)
-            .with_cycles(cycles)
-            .with_tdd(tdd)
-            .with_sb_options(opts);
+            .with_cycles(cycles);
         let mut runner = scenario.build_with(topo, traffic);
         runner.warmup(warmup);
         runner.run(cycles);
@@ -190,17 +163,6 @@ impl Design {
                 stats: runner.stats().clone(),
             },
         )
-    }
-
-    /// Drain helper for experiments that need an empty network between
-    /// phases; returns whether the drain completed.
-    pub fn drain_probe(self, topo: &Topology, cfg: SimConfig, seed: u64, cycles: u64) -> bool {
-        let scenario = Scenario::new("drain-probe", self)
-            .with_config(cfg)
-            .with_seed(seed);
-        scenario
-            .build_with(topo, NoTraffic)
-            .run_until_drained(cycles)
     }
 }
 

@@ -26,21 +26,18 @@ use sb_topology::{Direction, NodeId, Topology, DIRECTIONS};
 pub struct EscapeVcPlugin {
     updown: UpDownRouting,
     tdd: u64,
-    /// Per-VC stall clocks, indexed by flat vc id ([`NetCore::flat_vc`]) and
-    /// sized lazily on first use. `Some((pkt, count))` means the slot's head
-    /// has been switchable-but-stalled for `count` cycles. A flat table
-    /// beats the old `HashMap<VcRef, _>` on the hot sweep: no hashing, and
-    /// clearing a lapsed entry is one store.
+    /// Per-VC stall counters, indexed by flat vc id ([`NetCore::flat_vc`])
+    /// and sized lazily on first use. `Some((pkt, armed_at))` means the
+    /// slot's head has been switchable-but-stalled since cycle `armed_at`,
+    /// the first cycle its counter counts: the counter is an armed-at stamp
+    /// and reads the same under any clock (see [`EscapeVcPlugin::deadline`]).
+    /// A flat table beats the old `HashMap<VcRef, _>` on the hot sweep: no
+    /// hashing, and clearing a lapsed entry is one store.
     stalls: Vec<Option<(PacketId, u64)>>,
     /// Number of `Some` entries in `stalls`, so `next_timer` can bail out
     /// without scanning the table when nothing is stalled (the common case).
     tracked: usize,
     escapes: u64,
-    /// Cycle of the last `after_cycle` call. Stall counters advance by the
-    /// elapsed time since then, so skipped (leaped-over) cycles — during
-    /// which a stall condition cannot change — are accounted exactly as if
-    /// they had been stepped through.
-    last_tick: Option<u64>,
     rng: rand::rngs::StdRng,
 }
 
@@ -55,7 +52,6 @@ impl EscapeVcPlugin {
             stalls: Vec::new(),
             tracked: 0,
             escapes: 0,
-            last_tick: None,
             rng: rand::rngs::StdRng::seed_from_u64(0xE5CA),
         }
     }
@@ -75,6 +71,13 @@ impl EscapeVcPlugin {
     pub fn is_escape_vc(core: &NetCore, vc: u8) -> bool {
         let cfg = core.config();
         vc % cfg.vcs_per_vnet == cfg.vcs_per_vnet - 1
+    }
+
+    /// The cycle whose tick fires a stall counter armed at `armed_at`: the
+    /// counter reads `t + 1 − armed_at` at the tick of cycle `t` and fires
+    /// at `≥ t_DD`.
+    fn deadline(&self, armed_at: u64) -> u64 {
+        armed_at + self.tdd - 1
     }
 
     fn clear_stall(&mut self, i: usize) {
@@ -110,22 +113,12 @@ impl Plugin for EscapeVcPlugin {
     }
 
     fn after_cycle(&mut self, core: &mut NetCore) {
-        // Advance stall counters; escalate to the escape network on timeout.
+        // Track stalls; escalate to the escape network on timeout.
         let vcs = core.config().vcs_per_port() as u8;
         let n = core.topology().mesh().node_count();
         self.stalls.resize(n * 4 * vcs as usize, None);
         let alive: Vec<NodeId> = core.topology().alive_nodes().collect();
         let now = core.time();
-        // Cycles elapsed since the previous executed tick. Under the step
-        // clock this is always 1; under the leap clock it covers the
-        // skipped gap, during which every stall condition provably held
-        // (occupancy, maturity and desired hop only change at executed
-        // ticks), so advancing by `dt` reproduces the stepped counters.
-        let dt = match self.last_tick {
-            Some(prev) => now - prev,
-            None => 1,
-        };
-        self.last_tick = Some(now);
         for router in alive {
             for port in DIRECTIONS {
                 for vc in 0..vcs {
@@ -142,23 +135,23 @@ impl Plugin for EscapeVcPlugin {
                         continue;
                     }
                     let (id, dst, mode) = (pkt.id, pkt.dst, pkt.mode);
-                    // A fresh (or re-owned) entry starts its stall clock at
-                    // this very tick — entry creation always happens on the
-                    // first cycle the condition holds, which is never inside
-                    // a leaped gap. An existing entry accounts every cycle
-                    // since the last tick.
-                    let entry = &mut self.stalls[i];
-                    match entry {
-                        Some(v) if v.0 == id => v.1 += dt,
-                        Some(v) => *v = (id, 1),
-                        None => {
-                            *entry = Some((id, 1));
-                            self.tracked += 1;
+                    // A fresh (or re-owned) entry counts this very tick —
+                    // entry creation always happens on the first cycle the
+                    // condition holds, which is never inside a leaped gap.
+                    let armed_at = match self.stalls[i] {
+                        Some((owner, at)) if owner == id => at,
+                        old => {
+                            if old.is_none() {
+                                self.tracked += 1;
+                            }
+                            self.stalls[i] = Some((id, now));
+                            now
                         }
-                    }
-                    let count = &mut self.stalls[i].as_mut().expect("just set").1;
-                    if *count >= self.tdd {
-                        *count = 0;
+                    };
+                    if now >= self.deadline(armed_at) {
+                        // The counter restarts at 0: it counts again from
+                        // the next cycle.
+                        self.stalls[i] = Some((id, now + 1));
                         if mode == PacketMode::Escape {
                             continue;
                         }
@@ -175,26 +168,19 @@ impl Plugin for EscapeVcPlugin {
     }
 
     fn next_timer(&self, core: &NetCore) -> Option<u64> {
-        // Each tracked stall fires (escape or counter reset) at the tick
-        // where its counter reaches `tdd`; counters advance one per cycle,
-        // so an entry at `count` after the last executed tick fires at
-        // `(now - 1) + (tdd - count)`. Entries whose condition lapsed are
-        // pruned at the next tick anyway; their stale bound only wakes the
-        // engine early, never late.
+        // Each tracked stall fires (escape or counter restart) at its
+        // deadline. Entries whose condition lapsed are pruned at the next
+        // tick anyway; their stale bound only wakes the engine early, never
+        // late.
         if self.tracked == 0 {
             return None;
         }
         let now = core.time();
-        let mut best: Option<u64> = None;
-        for &(_, count) in self.stalls.iter().flatten() {
-            let at = (now + self.tdd.saturating_sub(count))
-                .saturating_sub(1)
-                .max(now);
-            if best.is_none_or(|b| at < b) {
-                best = Some(at);
-            }
-        }
-        best
+        self.stalls
+            .iter()
+            .flatten()
+            .map(|&(_, armed_at)| self.deadline(armed_at).max(now))
+            .min()
     }
 
     fn snapshot_state(&self) -> Result<String, String> {
@@ -202,7 +188,6 @@ impl Plugin for EscapeVcPlugin {
             stalls: self.stalls.clone(),
             tracked: self.tracked,
             escapes: self.escapes,
-            last_tick: self.last_tick,
             rng: self.rng.state(),
         })
         .map_err(|e| e.0)
@@ -213,7 +198,6 @@ impl Plugin for EscapeVcPlugin {
         self.stalls = state.stalls;
         self.tracked = state.tracked;
         self.escapes = state.escapes;
-        self.last_tick = state.last_tick;
         self.rng = rand::rngs::StdRng::from_state(state.rng);
         Ok(())
     }
@@ -227,7 +211,6 @@ struct EscapeState {
     stalls: Vec<Option<(PacketId, u64)>>,
     tracked: usize,
     escapes: u64,
-    last_tick: Option<u64>,
     rng: [u64; 4],
 }
 

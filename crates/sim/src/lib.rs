@@ -93,4 +93,4 @@ pub use vc::VcRef;
 /// NOT need a bump. (Layout changes to `Stats` itself are caught
 /// automatically: cache epochs also hash the serialized shape of
 /// `Stats::default()`.)
-pub const RESULT_EPOCH: u32 = 1;
+pub const RESULT_EPOCH: u32 = 2;

@@ -153,9 +153,8 @@ pub trait Plugin {
     /// special message arriving, a TTL expiring. Consulted by the leap
     /// clock ([`crate::ClockMode::Leap`]) when the runnable set is empty;
     /// the engine will not execute any cycle strictly before the returned
-    /// value, and the plugin's `before_cycle`/`after_cycle` must account
-    /// for the skipped cycles (e.g. by advancing counters by the elapsed
-    /// time rather than by 1).
+    /// value, and the plugin's `before_cycle`/`after_cycle` must behave
+    /// as if the skipped cycles had been stepped through.
     ///
     /// The bound may be conservative (earlier than the true event — the
     /// extra cycles are merely executed), but must never be later than the

@@ -88,29 +88,51 @@ proptest! {
 /// Run once with the auditor at every cycle (the leap degenerates to a step
 /// and the auditor cross-checks each one) and once unaudited (real leaps
 /// happen through the frozen phase).
+///
+/// The second input pins a counter restarted while special messages are
+/// delivered right after a leap: the restart counts that cycle's FSM tick
+/// only. Crediting it with the whole leaped gap instead made the leap clock
+/// recover 3 deadlocks with 227 probes where the step clock recovers 6 with
+/// 297.
 #[test]
 fn leap_clock_matches_step_through_deadlock_and_recovery() {
-    let run = |audit: u64, clock: ClockMode| {
-        let sc = Scenario::new("leap-recovery", Design::StaticBubble)
-            .with_mesh(8, 8)
-            .with_config(SimConfig::single_vnet())
-            .with_seed(42)
-            .with_audit_every(audit);
-        let topo = sc.topology();
-        let traffic = UniformTraffic::new(0.35).single_vnet().geometric();
-        let mut sim = sc.build_with(&topo, traffic);
-        sim.set_clock(clock);
-        sim.run(2_500);
-        sim.stats().clone()
-    };
-    for audit in [1, 0] {
-        let step = run(audit, ClockMode::Step);
-        let leap = run(audit, ClockMode::Leap);
-        assert!(
-            step.deadlocks_recovered > 0,
-            "scenario must deadlock and recover to be a meaningful A/B check"
-        );
-        assert_eq!(step, leap, "audit_every = {audit}");
+    let inputs = [
+        (FaultSpec::Pristine, 42, 0.35, 2_500),
+        (
+            FaultSpec::Model {
+                kind: FaultKind::Links,
+                count: 5,
+                seed: 0xABC8,
+            },
+            5,
+            0.25,
+            3_000,
+        ),
+    ];
+    for (faults, seed, rate, cycles) in inputs {
+        let run = |audit: u64, clock: ClockMode| {
+            let sc = Scenario::new("leap-recovery", Design::StaticBubble)
+                .with_mesh(8, 8)
+                .with_config(SimConfig::single_vnet())
+                .with_faults(faults)
+                .with_seed(seed)
+                .with_audit_every(audit);
+            let topo = sc.topology();
+            let traffic = UniformTraffic::new(rate).single_vnet().geometric();
+            let mut sim = sc.build_with(&topo, traffic);
+            sim.set_clock(clock);
+            sim.run(cycles);
+            sim.stats().clone()
+        };
+        for audit in [1, 0] {
+            let step = run(audit, ClockMode::Step);
+            let leap = run(audit, ClockMode::Leap);
+            assert!(
+                step.deadlocks_recovered > 0,
+                "scenario must deadlock and recover to be a meaningful A/B check"
+            );
+            assert_eq!(step, leap, "seed {seed}, audit_every = {audit}");
+        }
     }
 }
 
