@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::SeedableRng;
-use sb_routing::{MinimalRouting, UpDownRouting};
+use sb_routing::{MinimalRouting, RouteSource, UpDownRouting};
 use sb_sim::{NullPlugin, SimConfig, Simulator, UniformTraffic};
 use sb_topology::{FaultKind, FaultModel, Mesh, Topology};
 use static_bubble::{placement, StaticBubblePlugin};
@@ -34,10 +34,28 @@ fn bench_routing(c: &mut Criterion) {
     c.bench_function("routing/updown_tree_8x8", |b| {
         b.iter(|| UpDownRouting::new(std::hint::black_box(&topo)))
     });
+    // Per-packet cost of up*/down* stamping and admission, corner to corner
+    // on a faulty 16x16 mesh.
+    let big = faulty(Mesh::new(16, 16), 24, 0x5B00);
+    let updown = UpDownRouting::new(&big);
+    let (src, dst) = (sb_topology::NodeId(0), sb_topology::NodeId(255));
+    assert!(updown.routable(src, dst));
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0);
+    c.bench_function("routing/updown_route_16x16", |b| {
+        b.iter(|| {
+            updown.route(
+                std::hint::black_box(src),
+                std::hint::black_box(dst),
+                &mut rng,
+            )
+        })
+    });
+    c.bench_function("routing/updown_routable_16x16", |b| {
+        b.iter(|| updown.routable(std::hint::black_box(src), std::hint::black_box(dst)))
+    });
     let minimal = MinimalRouting::new(&topo);
     let mut rng = rand::rngs::StdRng::seed_from_u64(0);
     c.bench_function("routing/minimal_route_query", |b| {
-        use sb_routing::RouteSource;
         b.iter(|| {
             minimal.route(
                 std::hint::black_box(sb_topology::NodeId(0)),

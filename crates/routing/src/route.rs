@@ -126,10 +126,12 @@ pub trait RouteSource {
     /// The injection path uses this to apply the drop-at-NI rule for
     /// unreachable destinations *without* paying for a full route: the route
     /// itself is stamped lazily, when the packet reaches the head of its
-    /// source queue. Defaults to deriving the answer from
-    /// [`RouteSource::hop_count`]; table-driven sources (e.g. minimal
-    /// routing's BFS distance table) answer in O(1) through their
-    /// `hop_count` override.
+    /// source queue. The default derives the answer from
+    /// [`RouteSource::hop_count`], which computes a whole route. The
+    /// deterministic sources override it with an O(1) lookup: minimal
+    /// routing reads its BFS distance table, and up*/down* and tree-only
+    /// routing read their component map (both connect every pair within a
+    /// component).
     fn routable(&self, src: NodeId, dst: NodeId) -> bool {
         self.hop_count(src, dst).is_some()
     }

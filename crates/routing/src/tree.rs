@@ -66,14 +66,12 @@ impl TreeOnlyRouting {
         }
     }
 
-    /// The tree path from `node` up to the root, inclusive.
-    fn path_to_root(&self, mut node: NodeId) -> Vec<NodeId> {
-        let mut path = vec![node];
-        while let Some(p) = self.parent[node.index()] {
-            path.push(p);
-            node = p;
-        }
-        path
+    /// The tree parent of non-root `node` and the direction of the hop up
+    /// to it.
+    fn up_hop(&self, node: NodeId) -> (NodeId, Direction) {
+        let parent = self.parent[node.index()].expect("non-root node has a parent");
+        let dir = self.topo.mesh().direction_between(node, parent);
+        (parent, dir.expect("tree edge"))
     }
 
     /// Tree depth of `node`.
@@ -89,35 +87,41 @@ impl TreeOnlyRouting {
 
 impl RouteSource for TreeOnlyRouting {
     /// The unique tree path src → LCA → dst. Deterministic.
+    ///
+    /// The deeper endpoint climbs to the other's depth, then both climb in
+    /// step until they meet at the LCA.
     fn route(&self, src: NodeId, dst: NodeId, _rng: &mut dyn rand::RngCore) -> Option<Route> {
-        if self.components.component_of(src)? != self.components.component_of(dst)? {
+        if !self.routable(src, dst) {
             return None;
         }
-        if src == dst {
-            return Some(Route::default());
+        let depth = |n: NodeId| self.depth[n.index()].expect("alive node has a depth");
+        let (mut a, mut b) = (src, dst);
+        let mut up = Vec::new();
+        let mut down = Vec::new();
+        while depth(a) > depth(b) {
+            let (p, dir) = self.up_hop(a);
+            up.push(dir);
+            a = p;
         }
-        let up = self.path_to_root(src);
-        let down = self.path_to_root(dst);
-        // Find the LCA: deepest common node.
-        let down_set: std::collections::HashMap<NodeId, usize> =
-            down.iter().enumerate().map(|(i, &n)| (n, i)).collect();
-        let (lca_up_idx, lca_down_idx) = up
-            .iter()
-            .enumerate()
-            .find_map(|(i, n)| down_set.get(n).map(|&j| (i, j)))
-            .expect("same component shares the root");
-        let mesh = self.topo.mesh();
-        let mut hops: Vec<Direction> = Vec::with_capacity(lca_up_idx + lca_down_idx);
-        for w in up[..=lca_up_idx].windows(2) {
-            hops.push(mesh.direction_between(w[0], w[1]).expect("tree edge"));
+        while depth(b) > depth(a) {
+            let (p, dir) = self.up_hop(b);
+            down.push(dir.opposite());
+            b = p;
         }
-        for i in (0..lca_down_idx).rev() {
-            hops.push(
-                mesh.direction_between(down[i + 1], down[i])
-                    .expect("tree edge"),
-            );
+        while a != b {
+            let (pa, da) = self.up_hop(a);
+            let (pb, db) = self.up_hop(b);
+            up.push(da);
+            down.push(db.opposite());
+            (a, b) = (pa, pb);
         }
-        Some(Route::new(hops))
+        up.extend(down.into_iter().rev());
+        Some(Route::new(up))
+    }
+
+    /// O(1): every pair within a component is joined by its tree.
+    fn routable(&self, src: NodeId, dst: NodeId) -> bool {
+        self.components.connected(src, dst)
     }
 }
 

@@ -12,12 +12,20 @@
 //! packet stamped with such a route (including mid-flight re-stamping when a
 //! packet enters the escape network) can never participate in a down→up
 //! dependency.
+//!
+//! Construction records one *move mask* byte per router: bit `d` says the
+//! link along `DIRECTIONS[d]` is alive, bit `4 + d` that the move along it is
+//! an up move. Both are set inside the per-component level BFS, which finds
+//! neighbours by index arithmetic (`i ± 1`, `i ± width`). The route BFS
+//! reads only these masks; its visit and parent state packs into one byte
+//! per router. Nothing is cached between calls: routing stays an immutable
+//! function of the topology. Admission ([`RouteSource::routable`]) needs no search at all,
+//! because up*/down* connects every pair of a component (up the tree to the
+//! root, then down).
 
 use crate::route::{Route, RouteSource};
 
-use sb_topology::{
-    connected_components, distances_from, ComponentMap, Direction, NodeId, Topology, DIRECTIONS,
-};
+use sb_topology::{connected_components, ComponentMap, Direction, NodeId, Topology, DIRECTIONS};
 
 /// How the spanning-tree root of each component is chosen.
 ///
@@ -59,7 +67,19 @@ pub struct UpDownRouting {
     level: Vec<Option<u32>>,
     /// Root of each component.
     roots: Vec<NodeId>,
+    /// Per-router move mask: bit `d` = link along `DIRECTIONS[d]` alive,
+    /// bit `4 + d` = that move is up. Zero for dead routers.
+    moves: Vec<u8>,
 }
+
+/// Route-BFS visit byte, state 0 (not yet gone down): reached, and the
+/// direction of the hop into it in bits 1–2. Its parent is always state 0.
+const SEEN_UP: u8 = 1;
+/// Route-BFS visit byte, state 1 (gone down): reached, the direction of the
+/// hop into it in bits 4–5, and its parent's state in [`PARENT_DOWN`].
+const SEEN_DOWN: u8 = 1 << 3;
+/// Route-BFS visit byte: state 1 was reached from its parent's state 1.
+const PARENT_DOWN: u8 = 1 << 6;
 
 impl UpDownRouting {
     /// Build the spanning trees (one per component, with the default
@@ -72,8 +92,12 @@ impl UpDownRouting {
     /// Build with an explicit root policy.
     pub fn with_root_policy(topo: &Topology, policy: RootPolicy) -> Self {
         let components = connected_components(topo);
-        let mut level = vec![None; topo.mesh().node_count()];
+        let n = topo.mesh().node_count();
+        let steps = index_steps(topo.mesh().width());
+        let mut level = vec![None; n];
+        let mut moves = vec![0u8; n];
         let mut roots = Vec::with_capacity(components.count() as usize);
+        let mut queue = std::collections::VecDeque::new();
         for c in 0..components.count() {
             let root = match policy {
                 RootPolicy::Center => topo
@@ -85,9 +109,23 @@ impl UpDownRouting {
                     .expect("component is non-empty"),
             };
             roots.push(root);
-            for (i, d) in distances_from(topo, root).into_iter().enumerate() {
-                if components.component_of(NodeId::from(i)) == Some(c) {
-                    level[i] = d;
+            level[root.index()] = Some(0);
+            queue.push_back(root.index());
+            while let Some(u) = queue.pop_front() {
+                let lu = level[u].expect("queued node has a level");
+                for (d, dir) in DIRECTIONS.into_iter().enumerate() {
+                    if !topo.link_alive(NodeId::from(u), dir) {
+                        continue;
+                    }
+                    let v = u.wrapping_add(steps[d]);
+                    // Each neighbour's level is final once `u` is expanded.
+                    let lv = *level[v].get_or_insert_with(|| {
+                        queue.push_back(v);
+                        lu + 1
+                    });
+                    // The up end of a link is the endpoint closer to the
+                    // root, ties to the lower id.
+                    moves[u] |= 1 << d | u8::from((lv, v) < (lu, u)) << (4 + d);
                 }
             }
         }
@@ -96,6 +134,7 @@ impl UpDownRouting {
             components,
             level,
             roots,
+            moves,
         }
     }
 
@@ -114,17 +153,8 @@ impl UpDownRouting {
     /// Is the move from `node` along alive link `dir` an *up* move (towards
     /// the up end of that link)? `None` for dead links.
     pub fn is_up_move(&self, node: NodeId, dir: Direction) -> Option<bool> {
-        if !self.topo.link_alive(node, dir) {
-            return None;
-        }
-        let other = self.topo.mesh().neighbor(node, dir).expect("alive link");
-        let (ln, lo) = (self.level[node.index()]?, self.level[other.index()]?);
-        // The up end is the endpoint closer to the root, ties to lower id.
-        Some(match lo.cmp(&ln) {
-            std::cmp::Ordering::Less => true,
-            std::cmp::Ordering::Greater => false,
-            std::cmp::Ordering::Equal => other < node,
-        })
+        let (mask, d) = (self.moves[node.index()], dir.index());
+        (mask >> d & 1 == 1).then_some(mask >> (4 + d) & 1 == 1)
     }
 
     /// Is `route` (starting at `src`) legal under the up*/down* rule?
@@ -149,56 +179,91 @@ impl UpDownRouting {
     }
 }
 
+/// Node-index offset of one hop along each of `DIRECTIONS` on a mesh of the
+/// given width (row-major ids; negative offsets wrap).
+fn index_steps(width: u16) -> [usize; 4] {
+    let w = usize::from(width);
+    [w, 1, w.wrapping_neg(), usize::MAX]
+}
+
 impl RouteSource for UpDownRouting {
     /// Shortest legal up*/down* route; deterministic (ignores `rng`).
+    ///
+    /// A BFS over `(node, gone_down)` states that expands each state's
+    /// moves in `DIRECTIONS` order and stops at the first state of `dst` it
+    /// discovers.
     fn route(&self, src: NodeId, dst: NodeId, _rng: &mut dyn rand::RngCore) -> Option<Route> {
-        if self.components.component_of(src)? != self.components.component_of(dst)? {
+        if !self.routable(src, dst) {
             return None;
         }
         if src == dst {
             return Some(Route::default());
         }
-        // BFS over (node, gone_down) states. State index = node*2 + gone_down.
-        let n = self.topo.mesh().node_count();
-        let mesh = self.topo.mesh();
-        let mut prev: Vec<Option<(usize, Direction)>> = vec![None; n * 2];
-        let mut visited = vec![false; n * 2];
-        let start = src.index() * 2;
-        visited[start] = true;
-        let mut queue = std::collections::VecDeque::from([start]);
-        let mut goal: Option<usize> = None;
-        'bfs: while let Some(state) = queue.pop_front() {
-            let node = NodeId::from(state / 2);
-            let gone_down = state % 2 == 1;
-            for dir in DIRECTIONS {
-                let Some(up) = self.is_up_move(node, dir) else {
-                    continue;
-                };
-                if gone_down && up {
-                    continue;
-                }
-                let next_node = mesh.neighbor(node, dir).expect("alive link");
-                let next_state = next_node.index() * 2 + usize::from(gone_down || !up);
-                if visited[next_state] {
-                    continue;
-                }
-                visited[next_state] = true;
-                prev[next_state] = Some((state, dir));
-                if next_node == dst {
-                    goal = Some(next_state);
-                    break 'bfs;
-                }
-                queue.push_back(next_state);
+        let steps = index_steps(self.topo.mesh().width());
+        let (src, dst) = (src.index(), dst.index());
+        let mut seen = vec![0u8; self.moves.len()];
+        // Queued states, `node * 2 + gone_down`, popped from `head`.
+        let mut queue: Vec<u32> = Vec::with_capacity(2 * self.moves.len());
+        seen[src] = SEEN_UP;
+        queue.push(2 * src as u32);
+        let mut head = 0;
+        let (mut node, mut gone_down) = 'bfs: loop {
+            let state = *queue.get(head)?;
+            head += 1;
+            let (node, gone_down) = (state as usize / 2, state & 1 == 1);
+            let mask = self.moves[node];
+            let mut legal = mask & 0xF;
+            if gone_down {
+                // Once gone down, up moves are forbidden.
+                legal &= !(mask >> 4);
             }
-        }
-        let mut state = goal?;
+            while legal != 0 {
+                let d = legal.trailing_zeros() as usize;
+                legal &= legal - 1;
+                let next = node.wrapping_add(steps[d]);
+                let next_down = gone_down || mask >> (4 + d) & 1 == 0;
+                let visit = &mut seen[next];
+                if next_down {
+                    if *visit & SEEN_DOWN != 0 {
+                        continue;
+                    }
+                    *visit |= SEEN_DOWN | (d as u8) << 4;
+                    if gone_down {
+                        *visit |= PARENT_DOWN;
+                    }
+                } else {
+                    if *visit & SEEN_UP != 0 {
+                        continue;
+                    }
+                    *visit |= SEEN_UP | (d as u8) << 1;
+                }
+                if next == dst {
+                    break 'bfs (next, next_down);
+                }
+                queue.push(2 * next as u32 + u32::from(next_down));
+            }
+        };
+        // Walk the parents back to the start state (src, not gone down).
         let mut hops = Vec::new();
-        while let Some((p, dir)) = prev[state] {
-            hops.push(dir);
-            state = p;
+        while node != src || gone_down {
+            let visit = seen[node];
+            let d = if gone_down {
+                gone_down = visit & PARENT_DOWN != 0;
+                visit >> 4 & 3
+            } else {
+                visit >> 1 & 3
+            };
+            hops.push(DIRECTIONS[d as usize]);
+            node = node.wrapping_sub(steps[d as usize]);
         }
         hops.reverse();
         Some(Route::new(hops))
+    }
+
+    /// O(1): up*/down* connects every pair within a component, so this is
+    /// exactly `route(src, dst).is_some()`.
+    fn routable(&self, src: NodeId, dst: NodeId) -> bool {
+        self.components.connected(src, dst)
     }
 }
 
